@@ -14,6 +14,9 @@ cargo test -q --workspace
 echo "== cargo build --release =="
 cargo build --release --workspace
 
+echo "== perfbench tests (the benchmark builds the workspace crates by path) =="
+cargo test -q --release --manifest-path perfbench/Cargo.toml
+
 echo "== reproduce smoke (fig7 predicted-vs-observed) =="
 cargo run --release -q -p oorq-bench --bin reproduce fig7 | grep "predicted vs observed" >/dev/null
 

@@ -2,10 +2,11 @@
 //! bounds on cardinality, page accesses, fixpoint passes, and weighted
 //! cost.
 //!
-//! The analyzer walks a PT mirroring the lowering's access-method
-//! resolution exactly ([`oorq_pt::lower`]), and for every node that
-//! lowers to a physical operator derives intervals guaranteed to contain
-//! the executor's *exclusive* per-operator counters:
+//! The analyzer walks a PT resolving access methods and nested-loop
+//! rescannability with the same resolver as the lowering
+//! ([`oorq_pt::access`]), and for every node that lowers to a physical
+//! operator derives intervals guaranteed to contain the executor's
+//! *exclusive* per-operator counters:
 //!
 //! - `rows_total` ⊇ observed `rows_out`;
 //! - `data()` (sequential + dereference pages) ⊇ observed
@@ -38,9 +39,10 @@ use std::collections::HashMap;
 use oorq_cost::CostParams;
 use oorq_lint::{LintCode, LintReport};
 use oorq_pt::{
-    eq_literal_conjunct, node_ids, type_of_column_expr, AccessMethod, JoinAlgo, Pt, PtEnv, PtError,
+    join_probe, node_ids, rescannable, select_probe, type_of_column_expr, AccessMethod, JoinAlgo,
+    JoinProbe, Pt, PtEnv, PtError, SelectProbe,
 };
-use oorq_query::{CmpOp, Expr, Literal};
+use oorq_query::{Expr, Literal};
 use oorq_schema::{AtomicType, AttrId, AttributeKind, Catalog, ClassId, ResolvedType};
 use oorq_storage::{DbStats, EntityId, EntitySource, FragmentSpec, IndexKindDesc, PhysicalSchema};
 
@@ -708,35 +710,6 @@ impl Walk<'_, '_> {
     }
 
     // ------------------------------------------------------------------
-    // Access-method resolution mirrors
-    // ------------------------------------------------------------------
-
-    /// Mirror of `PhysOp::rescannable` at the PT level (a `Sel` that
-    /// resolves to an index probe lowers to `IndexSelect`, which is not
-    /// rescannable; one that does not lowers to a pass-through filter).
-    fn pt_rescannable(&self, pt: &Pt) -> bool {
-        match pt {
-            Pt::Entity { .. } | Pt::Temp { .. } => true,
-            Pt::Sel {
-                pred,
-                method,
-                input,
-            } => {
-                if let AccessMethod::Index(idx) = method {
-                    if resolve_index_select(self.az.catalog, self.az.physical, *idx, pred, input)
-                        .is_some()
-                    {
-                        return false;
-                    }
-                }
-                self.pt_rescannable(input)
-            }
-            Pt::Proj { input, .. } => self.pt_rescannable(input),
-            _ => false,
-        }
-    }
-
-    // ------------------------------------------------------------------
     // The transfer functions
     // ------------------------------------------------------------------
 
@@ -750,10 +723,10 @@ impl Walk<'_, '_> {
                 input,
             } => {
                 if let AccessMethod::Index(idx) = method {
-                    if let Some((nbl, ec, attr_name)) =
-                        resolve_index_select(self.az.catalog, self.az.physical, *idx, pred, input)
+                    if let Some(probe) =
+                        select_probe(self.az.catalog, self.az.physical, *idx, pred, input)
                     {
-                        return self.go_index_select(pt, input, pred, nbl, ec, &attr_name, opens);
+                        return self.go_index_select(pt, input, pred, &probe, opens);
                     }
                 }
                 self.go_filter(pt, input, pred, opens)
@@ -789,12 +762,10 @@ impl Walk<'_, '_> {
                 right,
             } => {
                 if let JoinAlgo::IndexJoin(idx) = algo {
-                    if let Some((nbl, ec, attr_name, outer)) =
-                        resolve_index_join(self.az.catalog, self.az.physical, *idx, pred, right)
+                    if let Some(probe) =
+                        join_probe(self.az.catalog, self.az.physical, *idx, pred, right)
                     {
-                        return self.go_index_join(
-                            pt, pred, left, right, nbl, ec, &attr_name, &outer, opens,
-                        );
+                        return self.go_index_join(pt, pred, left, right, &probe, opens);
                     }
                 }
                 self.go_nl(pt, pred, left, right, opens)
@@ -915,23 +886,18 @@ impl Walk<'_, '_> {
         })
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn go_index_select(
         &mut self,
         pt: &Pt,
         input: &Pt,
         pred: &Expr,
-        nblevels: f64,
-        entity_class: ClassId,
-        attr_name: &str,
+        probe: &SelectProbe<'_>,
         opens: Interval,
     ) -> Result<Out, PtError> {
         self.mark_unlowered(input);
-        let Pt::Entity { var, .. } = input else {
-            unreachable!("resolve_index_select checked the input shape");
-        };
+        let entity_class = probe.class;
         let cols = vec![ColInfo {
-            name: var.clone(),
+            name: probe.var.to_string(),
             ty: ResolvedType::Object(entity_class),
             members: 1.0,
         }];
@@ -939,7 +905,7 @@ impl Walk<'_, '_> {
         // The probe's hits are filtered to the exact class before any
         // page is touched, so object fetches are bounded by the worst
         // per-key duplication of the attribute within that class.
-        let dup = match self.az.catalog.attr(entity_class, attr_name) {
+        let dup = match self.az.catalog.attr(entity_class, probe.attr) {
             Some((aid, _)) => self.attr_max_dup(entity_class, aid),
             None => f64::INFINITY,
         };
@@ -948,7 +914,7 @@ impl Walk<'_, '_> {
         let rows_total = rows_once.mul(opens);
         let feats = FeatBounds {
             // The B+-tree descent runs unconditionally at every open.
-            index: Interval::exact(nblevels).mul(opens),
+            index: Interval::exact(probe.nblevels as f64).mul(opens),
             deref: Interval::up_to(mul_up(
                 hits,
                 add_up(self.deref_cost_hi(entity_class), pc.fetches),
@@ -1192,34 +1158,29 @@ impl Walk<'_, '_> {
         })
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn go_index_join(
         &mut self,
         pt: &Pt,
         pred: &Expr,
         left: &Pt,
         right: &Pt,
-        nblevels: f64,
-        entity_class: ClassId,
-        attr_name: &str,
-        outer: &Expr,
+        probe: &JoinProbe<'_>,
         opens: Interval,
     ) -> Result<Out, PtError> {
         let l = self.go(left, opens)?;
         self.mark_unlowered(right);
-        let Pt::Entity { var, .. } = right else {
-            unreachable!("resolve_index_join checked the right shape");
-        };
-        let oc = self.expr_bounds(outer, &l.cols);
+        let entity_class = probe.class;
+        let nblevels = probe.nblevels as f64;
+        let oc = self.expr_bounds(probe.outer, &l.cols);
         let m = oc.members;
-        let dup = match self.az.catalog.attr(entity_class, attr_name) {
+        let dup = match self.az.catalog.attr(entity_class, probe.attr) {
             Some((aid, _)) => self.attr_max_dup(entity_class, aid),
             None => f64::INFINITY,
         };
         let hits = dup.min(self.class_rows_hi(entity_class));
         let mut cols = l.cols.clone();
         cols.push(ColInfo {
-            name: var.clone(),
+            name: probe.var.to_string(),
             ty: ResolvedType::Object(entity_class),
             members: 1.0,
         });
@@ -1275,7 +1236,7 @@ impl Walk<'_, '_> {
         let l = self.go(left, opens)?;
         // Honest rescan re-opens the inner per outer row; a
         // non-rescannable inner is materialized once per own open.
-        let rescan = self.pt_rescannable(right);
+        let rescan = rescannable(self.az.catalog, self.az.physical, right);
         let r_opens = if rescan { l.rows_total } else { opens };
         let r = self.go(right, r_opens)?;
         let pairs = l.rows_total.mul(r.rows_once);
@@ -1485,78 +1446,4 @@ impl Walk<'_, '_> {
             rows_total,
         })
     }
-}
-
-/// Mirror of the lowering's `Sel` → `IndexSelect` resolution: the index
-/// must be a selection index, the input a class-extension entity, and
-/// the predicate must carry an `var.attr = literal` conjunct. Returns
-/// `(nblevels, entity class, attribute name)`.
-pub(crate) fn resolve_index_select(
-    catalog: &Catalog,
-    physical: &PhysicalSchema,
-    idx: oorq_storage::IndexId,
-    pred: &Expr,
-    input: &Pt,
-) -> Option<(f64, ClassId, String)> {
-    let desc = physical.indexes().get(idx.0 as usize)?;
-    let IndexKindDesc::Selection { class, attr } = desc.kind else {
-        return None;
-    };
-    let Pt::Entity { id, var } = input else {
-        return None;
-    };
-    let EntitySource::Class(entity_class) = physical.entity(*id).source else {
-        return None;
-    };
-    let attr_name = catalog.attribute(class, attr).name.clone();
-    eq_literal_conjunct(pred, var, &attr_name)?;
-    Some((desc.stats.nblevels as f64, entity_class, attr_name))
-}
-
-/// Mirror of the lowering's `EJ` → `IndexJoin` resolution: the index
-/// must be a selection index, the right input a class-extension entity,
-/// and the predicate must carry an `outer = var.attr` equality conjunct
-/// whose outer side does not mention `var`. Returns `(nblevels, entity
-/// class, attribute name, outer expression)`.
-pub(crate) fn resolve_index_join(
-    catalog: &Catalog,
-    physical: &PhysicalSchema,
-    idx: oorq_storage::IndexId,
-    pred: &Expr,
-    right: &Pt,
-) -> Option<(f64, ClassId, String, Expr)> {
-    let desc = physical.indexes().get(idx.0 as usize)?;
-    let IndexKindDesc::Selection { class, attr } = desc.kind else {
-        return None;
-    };
-    let Pt::Entity { id, var } = right else {
-        return None;
-    };
-    let EntitySource::Class(entity_class) = physical.entity(*id).source else {
-        return None;
-    };
-    let attr_name = catalog.attribute(class, attr).name.clone();
-    let mut outer: Option<Expr> = None;
-    for c in pred.conjuncts() {
-        if let Expr::Cmp {
-            op: CmpOp::Eq,
-            lhs,
-            rhs,
-        } = c
-        {
-            let matches_inner = |e: &Expr| {
-                matches!(e, Expr::Path { base, steps }
-                         if base == var && steps.len() == 1 && steps[0] == attr_name)
-            };
-            if matches_inner(rhs) && !lhs.vars().contains(var) {
-                outer = Some((**lhs).clone());
-                break;
-            }
-            if matches_inner(lhs) && !rhs.vars().contains(var) {
-                outer = Some((**rhs).clone());
-                break;
-            }
-        }
-    }
-    outer.map(|o| (desc.stats.nblevels as f64, entity_class, attr_name, o))
 }

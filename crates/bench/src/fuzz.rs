@@ -12,18 +12,22 @@
 //!   lies inside the analyzer's static interval.
 //!
 //! Anything else — a panic, or an observed counter escaping its bound —
-//! is a soundness bug and fails the run. The walk is [`Prng`]-seeded
+//! is a soundness bug and fails the run. So is a cross-layer
+//! disagreement ([`layer_disagreements`]): every mutant the analyzer
+//! accepts is also lowered and priced, and the lowering, the analyzer
+//! and the cost model must resolve each node to the same operator. The walk is [`Prng`]-seeded
 //! and fully deterministic: a failing `(seed, iteration)` pair is a
 //! reproducible bug report. CI runs a fixed smoke (`reproduce fuzz`);
 //! longer sweeps are one flag away (`reproduce fuzz 2000 <seed>`).
 
 use std::fmt::Write as _;
 
-use oorq_analysis::{check_observed, Analyzer, ObservedFix, ObservedOp};
+use oorq_analysis::{check_observed, Analysis, Analyzer, ObservedFix, ObservedOp};
 use oorq_core::OptimizerConfig;
+use oorq_cost::{CostModel, CostParams, PlanCost};
 use oorq_exec::{Executor, MethodRegistry};
 use oorq_prng::Prng;
-use oorq_pt::{AccessMethod, JoinAlgo, Pt, PtEnv};
+use oorq_pt::{AccessMethod, JoinAlgo, PhysOp, PhysPlan, Pt, PtEnv};
 use oorq_query::{Expr, Literal};
 use oorq_storage::{DbStats, IndexId};
 
@@ -108,13 +112,36 @@ pub fn fuzz_report(iters: u64, seed: u64) -> Result<String, String> {
                 &db_stats,
                 Default::default(),
             );
-            match analyzer.analyze(&mutant) {
+            let analysis = match analyzer.analyze(&mutant) {
                 Ok(a) => a,
                 Err(_) => {
                     stats.rejected_analysis += 1;
                     continue;
                 }
+            };
+            let model = CostModel::new(
+                setup.m.db.catalog(),
+                setup.m.db.physical(),
+                &db_stats,
+                CostParams::calibrated(),
+            )
+            .with_temp("Influencer", setup.m.influencer_fields());
+            let disagreements = match (oorq_pt::lower(&env, &mutant), model.cost(&mutant)) {
+                (Ok(plan), Ok(cost)) => layer_disagreements(&plan, &analysis, &cost),
+                (plan, cost) => vec![format!(
+                    "analyzed, but lowering {:?} / pricing {:?} failed",
+                    plan.err(),
+                    cost.err()
+                )],
+            };
+            if !disagreements.is_empty() {
+                return Err(format!(
+                    "{out}\ncross-layer disagreement at iteration {i} (seed {seed:#x}, \
+                     mutation kind {kind}, node {target}):\n{}",
+                    disagreements.join("\n")
+                ));
             }
+            analysis
         };
 
         setup.m.db.cold_cache();
@@ -175,6 +202,57 @@ pub fn fuzz_report(iters: u64, seed: u64) -> Result<String, String> {
          reproducible seed/iteration pair)"
     );
     Ok(out)
+}
+
+/// Where the lowered plan, the analyzer and the cost model disagree
+/// about what a PT node runs as, one line each. Every lowered operator
+/// (the `Exchange`/`Merge` wrappers aside) must carry the label the
+/// analyzer and the cost model gave its PT node, and a nested-loop join
+/// must materialize its inner exactly when the cost model prices the
+/// materialization writes (an inner estimated empty prices none either
+/// way). Needs residency modeling on, which gates those writes.
+pub fn layer_disagreements(plan: &PhysPlan, analysis: &Analysis, cost: &PlanCost) -> Vec<String> {
+    let cost_line = |node: usize| cost.breakdown.iter().find(|l| l.node == Some(node));
+    let mut out = Vec::new();
+    plan.root.visit(&mut |op| {
+        if matches!(op, PhysOp::Exchange { .. } | PhysOp::Merge { .. }) {
+            return;
+        }
+        let meta = op.meta();
+        let analyzed = analysis.node(meta.pt_node).map(|b| b.label.as_str());
+        let line = cost_line(meta.pt_node);
+        // A fixpoint's priced label appends its modeled pass count.
+        let priced = line.map(|l| match (&l.fix, l.label.rsplit_once(" x")) {
+            (Some(_), Some((label, _))) => label,
+            _ => l.label.as_str(),
+        });
+        if analyzed != Some(meta.label.as_str()) || priced != Some(meta.label.as_str()) {
+            out.push(format!(
+                "node {}: lowered `{}`, analyzed {analyzed:?}, priced {priced:?}",
+                meta.pt_node, meta.label
+            ));
+        }
+        if let (
+            PhysOp::NlJoin {
+                rescan_inner,
+                right,
+                ..
+            },
+            Some(line),
+        ) = (op, line)
+        {
+            let priced_mat = line.feat.write_pages > 0.0;
+            let inner_rows = cost_line(right.meta().pt_node).map_or(0.0, |l| l.rows);
+            if priced_mat == *rescan_inner && (priced_mat || inner_rows > 0.0) {
+                out.push(format!(
+                    "node {}: `{}` rescans its inner: {rescan_inner}, priced materialized: \
+                     {priced_mat}",
+                    meta.pt_node, meta.label
+                ));
+            }
+        }
+    });
+    out
 }
 
 /// Rebuild the tree, applying mutation `kind` at pre-order `target`.
@@ -406,5 +484,70 @@ mod tests {
                 + count("clean runtime errors:"),
             25
         );
+    }
+
+    /// An index selection over a path-index join cannot probe (its input
+    /// is not an entity): lowering runs it as a filter, and the analyzer
+    /// and the cost model must bound and price that filter.
+    #[test]
+    fn layers_agree_on_index_selection_fallback() {
+        let setup = PaperSetup::new(fig7_config());
+        let pt = setup
+            .optimize(&setup.fig3(), OptimizerConfig::never_push())
+            .pt;
+        let (path, sel) = oorq_pt::subtrees(&pt)
+            .into_iter()
+            .find(|(_, n)| {
+                matches!(n, Pt::Sel { input, .. } if matches!(input.as_ref(), Pt::PIJ { .. }))
+            })
+            .expect("the Figure 3 plan selects over a path-index join");
+        let Pt::Sel { pred, input, .. } = sel else {
+            unreachable!("matched a selection");
+        };
+        let name_index = setup
+            .m
+            .db
+            .physical()
+            .selection_index(setup.m.composer, setup.m.name_attr)
+            .expect("the paper setup builds the name index")
+            .id;
+        let mut fallback = pt.clone();
+        fallback
+            .replace_at(
+                &path,
+                Pt::Sel {
+                    pred: pred.clone(),
+                    method: AccessMethod::Index(name_index),
+                    input: input.clone(),
+                },
+            )
+            .unwrap();
+
+        let db = &setup.m.db;
+        let env = PtEnv::new(db.catalog(), db.physical());
+        let analysis = Analyzer::new(
+            db.catalog(),
+            db.physical(),
+            &setup.stats,
+            Default::default(),
+        )
+        .analyze(&fallback)
+        .unwrap();
+        let model = CostModel::new(
+            db.catalog(),
+            db.physical(),
+            &setup.stats,
+            CostParams::calibrated(),
+        )
+        .with_temp("Influencer", setup.m.influencer_fields());
+        let cost = model.cost(&fallback).unwrap();
+        let plan = oorq_pt::lower(&env, &fallback).unwrap();
+        assert!(
+            plan.explain().contains(&format!("Sel[{pred}]")),
+            "{}",
+            plan.explain()
+        );
+        let disagreements = layer_disagreements(&plan, &analysis, &cost);
+        assert!(disagreements.is_empty(), "{}", disagreements.join("\n"));
     }
 }

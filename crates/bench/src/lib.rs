@@ -2,14 +2,14 @@
 //!
 //! The [`scenarios`] module builds the standard experimental setups; the
 //! [`reports`] module produces the tables printed by the `reproduce`
-//! binary (one section per figure / worked example); the [`harness`]
-//! module is the minimal wall-clock timer the `[[bench]]` targets use.
+//! binary (one section per figure / worked example). Wall-clock
+//! measurement lives in the standalone `perfbench` package at the
+//! repository root.
 
 pub mod analyze;
 pub mod calibrate;
 pub mod feedback;
 pub mod fuzz;
-pub mod harness;
 pub mod metrics;
 pub mod parallel;
 pub mod reports;

@@ -678,6 +678,44 @@ fn neighbours_enumerate_join_and_access_moves() {
 }
 
 #[test]
+fn neighbours_skip_index_join_keyed_on_the_inner_variable() {
+    let (m, _idx, stats) = setup(MusicConfig::default());
+    let model = CostModel::new(
+        m.db.catalog(),
+        m.db.physical(),
+        &stats,
+        CostParams::default(),
+    );
+    let e = m.db.physical().entities_of_class(m.composer)[0];
+    // `r.name` is indexed, but its other side mentions `r` itself, so no
+    // outer expression can key the probe: lowering would run a nested
+    // loop, and transformPT must not offer (and price) an index join.
+    let plan = Pt::ej(
+        Expr::path("l", &["master"])
+            .eq(Expr::path("r", &["master"]))
+            .and(Expr::path("r", &["name"]).eq(Expr::path("r", &["master", "name"]))),
+        Pt::entity(e, "l"),
+        Pt::entity(e, "r"),
+    );
+    let ns = neighbours(&model, &plan);
+    assert!(!ns.is_empty(), "the operand swap is still a move");
+    for n in &ns {
+        n.visit(&mut |x| {
+            assert!(
+                !matches!(
+                    x,
+                    Pt::EJ {
+                        algo: oorq_pt::JoinAlgo::IndexJoin(_),
+                        ..
+                    }
+                ),
+                "unexpected index-join move: {n:?}"
+            );
+        });
+    }
+}
+
+#[test]
 fn parsed_program_optimizes_like_hand_built() {
     let (m, _idx, stats) = setup(MusicConfig::default());
     let cat = m.db.catalog();

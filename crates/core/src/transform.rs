@@ -13,10 +13,9 @@
 
 use oorq_cost::CostModel;
 use oorq_prng::Prng;
-use oorq_pt::{AccessMethod, IjStep, JoinAlgo, Pt};
-use oorq_query::{CmpOp, Expr};
+use oorq_pt::{find_select_probe, join_probes, AccessMethod, IjStep, JoinAlgo, Pt};
+use oorq_query::Expr;
 use oorq_schema::{ClassId, ResolvedType};
-use oorq_storage::EntitySource;
 
 use crate::error::OptError;
 use crate::translate::{collapse_alternatives, ChainOp};
@@ -526,10 +525,11 @@ pub fn neighbours(model: &CostModel<'_>, pt: &Pt) -> Vec<Pt> {
                         push_variant(pt, &path, nl, &mut out);
                     }
                     JoinAlgo::NestedLoop => {
-                        if let Some(idx) = applicable_join_index(model, pred, right) {
+                        let probes = join_probes(model.catalog, model.physical, pred, right);
+                        if let Some(probe) = probes.first() {
                             let ij = Pt::EJ {
                                 pred: pred.clone(),
-                                algo: JoinAlgo::IndexJoin(idx),
+                                algo: JoinAlgo::IndexJoin(probe.index),
                                 left: left.clone(),
                                 right: right.clone(),
                             };
@@ -548,10 +548,12 @@ pub fn neighbours(model: &CostModel<'_>, pt: &Pt) -> Vec<Pt> {
                     push_variant(pt, &path, scan, &mut out);
                 }
                 AccessMethod::Scan => {
-                    if let Some(idx) = applicable_sel_index(model, pred, input) {
+                    if let Some(probe) =
+                        find_select_probe(model.catalog, model.physical, pred, input)
+                    {
                         let isel = Pt::Sel {
                             pred: pred.clone(),
-                            method: AccessMethod::Index(idx),
+                            method: AccessMethod::Index(probe.index),
                             input: input.clone(),
                         };
                         push_variant(pt, &path, isel, &mut out);
@@ -571,81 +573,6 @@ fn push_variant(pt: &Pt, path: &[usize], replacement: Pt, out: &mut Vec<Pt>) {
     if variant.replace_at(path, replacement).is_ok() {
         out.push(variant);
     }
-}
-
-fn applicable_sel_index(
-    model: &CostModel<'_>,
-    pred: &Expr,
-    input: &Pt,
-) -> Option<oorq_storage::IndexId> {
-    let Pt::Entity { id, var } = input else {
-        return None;
-    };
-    let EntitySource::Class(class) = model.physical.entity(*id).source else {
-        return None;
-    };
-    for c in pred.conjuncts() {
-        if let Expr::Cmp {
-            op: CmpOp::Eq,
-            lhs,
-            rhs,
-        } = c
-        {
-            let path = match (lhs.as_ref(), rhs.as_ref()) {
-                (Expr::Path { base, steps }, Expr::Lit(_)) if steps.len() == 1 => {
-                    Some((base, &steps[0]))
-                }
-                (Expr::Lit(_), Expr::Path { base, steps }) if steps.len() == 1 => {
-                    Some((base, &steps[0]))
-                }
-                _ => None,
-            };
-            if let Some((b, attr_name)) = path {
-                if b == var {
-                    if let Some((aid, _)) = model.catalog.attr(class, attr_name) {
-                        if let Some(desc) = model.physical.selection_index(class, aid) {
-                            return Some(desc.id);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    None
-}
-
-fn applicable_join_index(
-    model: &CostModel<'_>,
-    pred: &Expr,
-    right: &Pt,
-) -> Option<oorq_storage::IndexId> {
-    let Pt::Entity { id, var } = right else {
-        return None;
-    };
-    let EntitySource::Class(class) = model.physical.entity(*id).source else {
-        return None;
-    };
-    for c in pred.conjuncts() {
-        if let Expr::Cmp {
-            op: CmpOp::Eq,
-            lhs,
-            rhs,
-        } = c
-        {
-            for side in [lhs.as_ref(), rhs.as_ref()] {
-                if let Expr::Path { base, steps } = side {
-                    if base == var && steps.len() == 1 {
-                        if let Some((aid, _)) = model.catalog.attr(class, &steps[0]) {
-                            if let Some(desc) = model.physical.selection_index(class, aid) {
-                                return Some(desc.id);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    None
 }
 
 /// A neighbour generator for the randomized walk: every plan one move

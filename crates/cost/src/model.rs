@@ -26,7 +26,7 @@
 
 use std::collections::HashMap;
 
-use oorq_pt::{AccessMethod, JoinAlgo, Pt};
+use oorq_pt::{join_probe, rescannable, select_probe, AccessMethod, JoinAlgo, Pt};
 use oorq_query::{CmpOp, Expr};
 use oorq_schema::{AttrId, AttributeKind, Catalog, ClassId, ResolvedType};
 use oorq_storage::{DbStats, EntitySource, IndexKindDesc, PhysicalSchema, WidthModel};
@@ -239,7 +239,7 @@ impl<'a> CostModel<'a> {
         // for every *other* access: the scan pays the cold reads — a
         // canonical attribution independent of operator order, matching
         // the executor's buffer whichever branch runs first. Entity
-        // leaves accessed through an index are not scans.
+        // leaves accessed through an index probe are not scans.
         let mut scan_resident = std::collections::HashSet::new();
         if self.params.residency && self.params.buffer_frames > 0 {
             let b = self.params.buffer_frames as f64;
@@ -248,10 +248,10 @@ impl<'a> CostModel<'a> {
             pt.visit(&mut |n| match n {
                 Pt::Entity { id, .. } => scanned.push((n as *const Pt, *id)),
                 Pt::Sel {
-                    method: AccessMethod::Index(_),
+                    pred,
+                    method: AccessMethod::Index(idx),
                     input,
-                    ..
-                } => {
+                } if select_probe(self.catalog, self.physical, *idx, pred, input).is_some() => {
                     via_index.insert(input.as_ref() as *const Pt);
                 }
                 _ => {}
@@ -632,8 +632,14 @@ impl EstCtx<'_, '_> {
                 method,
                 input,
             } => {
-                match method {
-                    AccessMethod::Scan => {
+                let probe = match method {
+                    AccessMethod::Index(idx) => {
+                        select_probe(m.catalog, m.physical, *idx, pred, input)
+                    }
+                    AccessMethod::Scan => None,
+                };
+                match probe {
+                    None => {
                         let mut child = self.est(input, true)?;
                         let ec = self.expr_access_cost(pred, &child.cols);
                         let sel = self.selectivity(pred, &child.cols);
@@ -661,21 +667,17 @@ impl EstCtx<'_, '_> {
                         );
                         child
                     }
-                    AccessMethod::Index(idx) => {
+                    Some(probe) => {
                         // Index access replaces the scan of the entity leaf.
                         let mut child = self.est(input, false)?;
-                        let desc = m.physical.index(*idx);
                         let sel = self.selectivity(pred, &child.cols);
                         let matches = sane_rows(child.rows * sel);
                         // Fetch the matched objects' pages (free when the
                         // plan scans the entity anyway, else at most its
                         // pages when it fits in the buffer).
-                        let fetch = match input.as_ref() {
-                            Pt::Entity { id, .. } => self.fetch_stream(*id, child.pages, matches),
-                            _ => self.deref_stream(matches, child.pages),
-                        };
+                        let fetch = self.fetch_stream(probe.entity, child.pages, matches);
                         let feat = CostFeatures {
-                            index_level_ios: desc.stats.nblevels as f64,
+                            index_level_ios: probe.nblevels as f64,
                             index_leaf_ios: (matches / 8.0).max(0.0),
                             deref_pages: fetch,
                             evals: matches,
@@ -937,8 +939,14 @@ impl EstCtx<'_, '_> {
                 right,
             } => {
                 let l = self.est(left, true)?;
-                match algo {
-                    JoinAlgo::NestedLoop => {
+                let probe = match algo {
+                    JoinAlgo::IndexJoin(idx) => {
+                        join_probe(m.catalog, m.physical, *idx, pred, right)
+                    }
+                    JoinAlgo::NestedLoop => None,
+                };
+                match probe {
+                    None => {
                         let r = self.est(right, true)?;
                         let mut cols = l.cols.clone();
                         for (k, v) in &r.cols {
@@ -958,7 +966,7 @@ impl EstCtx<'_, '_> {
                         // terms are residency-gated so the symbolic §4.6
                         // model keeps its shape.
                         let bt = p.breaker_frames();
-                        let mat = p.residency && !pt_rescannable(right);
+                        let mat = p.residency && !rescannable(m.catalog, m.physical, right);
                         let mat_writes = if mat { r.pages } else { 0.0 };
                         let cap = if mat { bt } else { p.buffer_frames as f64 };
                         let rescan_io = if r.pages <= cap {
@@ -999,9 +1007,8 @@ impl EstCtx<'_, '_> {
                             fanout_base: None,
                         }
                     }
-                    JoinAlgo::IndexJoin(idx) => {
+                    Some(probe) => {
                         let r = self.est(right, false)?;
-                        let desc = m.physical.index(*idx);
                         let mut cols = l.cols.clone();
                         for (k, v) in &r.cols {
                             cols.insert(k.clone(), v.clone());
@@ -1010,7 +1017,7 @@ impl EstCtx<'_, '_> {
                         let rows = sane_rows(l.rows * r.rows * sel);
                         let matches_per_probe = (r.rows * sel * l.rows).max(0.0) / l.rows.max(1.0);
                         let feat = CostFeatures {
-                            index_level_ios: l.rows * desc.stats.nblevels as f64,
+                            index_level_ios: l.rows * probe.nblevels as f64,
                             index_leaf_ios: l.rows * matches_per_probe,
                             evals: rows.max(l.rows),
                             ..CostFeatures::default()
@@ -1474,24 +1481,5 @@ fn strip(ty: ResolvedType) -> ResolvedType {
     match ty {
         ResolvedType::Set(e) | ResolvedType::List(e) => strip(*e),
         other => other,
-    }
-}
-
-/// Mirror of `PhysOp::rescannable` at the PT level: whether a
-/// nested-loop inner lowers to something the executor can honestly
-/// re-open per outer row (a leaf scan under filters/projections), or
-/// becomes a materialize-once breaker backed by a page-store
-/// temporary. Conservative on index selections, which may still lower
-/// to a rescannable filter fallback.
-fn pt_rescannable(pt: &Pt) -> bool {
-    match pt {
-        Pt::Entity { .. } | Pt::Temp { .. } => true,
-        Pt::Sel {
-            method: AccessMethod::Scan,
-            input,
-            ..
-        }
-        | Pt::Proj { input, .. } => pt_rescannable(input),
-        _ => false,
     }
 }

@@ -7,6 +7,7 @@
 //! `IJ`, `PIJ`, `EJ`, `Union`, `Fix`); leaves are atomic entities of the
 //! physical schema or temporary files.
 
+pub mod access;
 mod analysis;
 mod error;
 pub mod fingerprint;
@@ -14,14 +15,17 @@ mod node;
 mod pattern;
 pub mod phys;
 
+pub use access::{
+    find_select_probe, join_probe, join_probes, rescannable, select_probe, JoinProbe, SelectProbe,
+};
 pub use analysis::propagated_columns;
 pub use error::PtError;
 pub use fingerprint::{fnv64_str, Fnv64, FNV_OFFSET, FNV_PRIME};
 pub use node::{type_of_column_expr, AccessMethod, IjStep, JoinAlgo, Pt, PtDisplay, PtEnv};
 pub use pattern::{match_pattern, subtrees, Binding, Bindings, Pattern, TransformAction};
 pub use phys::{
-    eq_literal_conjunct, exchange_eligible, lower, lower_with, merge_leg_ok, node_ids, OpMeta,
-    ParallelSpec, PhysOp, PhysPlan,
+    exchange_eligible, lower, lower_with, merge_leg_ok, node_ids, OpMeta, ParallelSpec, PhysOp,
+    PhysPlan,
 };
 
 #[cfg(test)]

@@ -7,8 +7,10 @@
 //! statically), and explicit pipeline-breaker placement (the semi-naive
 //! fixpoint accumulator/delta and the materialize-once inner of a
 //! nested-loop join over a non-rescannable subtree). Everything the
-//! tree-walking interpreter used to re-derive per row is decided here,
-//! once, so execution can stream.
+//! executor would otherwise re-derive per row is decided here, once, so
+//! execution can stream. Whether an index-annotated node runs as a probe
+//! is the [`crate::access`] resolver's decision, shared with the cost
+//! model, the analyzer and the optimizer.
 //!
 //! Every operator carries an [`OpMeta`] with a dense operator id (for
 //! per-operator runtime counters) and the pre-order index of the `Pt`
@@ -17,10 +19,11 @@
 
 use std::collections::HashMap;
 
-use oorq_query::{CmpOp, Expr, Literal};
+use oorq_query::{Expr, Literal};
 use oorq_schema::{ClassId, ResolvedType};
-use oorq_storage::{EntityId, EntitySource, IndexId, IndexKindDesc};
+use oorq_storage::{EntityId, EntitySource, IndexId};
 
+use crate::access::{join_probe, select_probe};
 use crate::error::PtError;
 use crate::node::{AccessMethod, JoinAlgo, Pt, PtEnv};
 
@@ -92,9 +95,8 @@ pub enum PhysOp {
         /// The predicate.
         pred: Expr,
         /// An index the original plan named but the lowering could not
-        /// use (no usable conjunct, or a non-entity input): the built
-        /// structure must still exist at runtime, mirroring the
-        /// interpreter's access-method resolution order.
+        /// use (no usable conjunct, or a non-entity input): the executor
+        /// still demands the built structure when the filter opens.
         require_index: Option<IndexId>,
         /// Input operator.
         input: Box<PhysOp>,
@@ -382,14 +384,13 @@ pub fn node_ids(root: &Pt) -> HashMap<*const Pt, usize> {
 
 /// Lower a PT into a physical plan.
 ///
-/// Access methods are resolved here (mirroring the interpreter's runtime
-/// resolution, including its fallbacks): an index selection without a
-/// usable `var.attr = literal` conjunct or over a non-class input lowers
-/// to a filter, an index join without a usable equality conjunct lowers
-/// to a nested loop — in both cases remembering the named index so the
-/// runtime still demands the built structure. Union and fixpoint column
-/// permutations are resolved statically; a shape mismatch fails the
-/// lowering.
+/// Access methods come from the [`crate::access`] resolver, fallbacks
+/// included: an index selection without a usable `var.attr = literal`
+/// conjunct or over a non-class input lowers to a filter, an index join
+/// without a usable equality conjunct lowers to a nested loop — in both
+/// cases remembering the named index so the runtime still demands the
+/// built structure. Union and fixpoint column permutations are resolved
+/// statically; a shape mismatch fails the lowering.
 pub fn lower(env: &PtEnv<'_>, pt: &Pt) -> Result<PhysPlan, PtError> {
     lower_with(env, pt, &ParallelSpec::new())
 }
@@ -649,51 +650,30 @@ impl Lowering<'_, '_> {
         pred: &Expr,
         input: &Pt,
     ) -> Result<PhysOp, PtError> {
-        // Resolve the indexed attribute from the physical schema; fall
-        // back to a filter when the plan's entity/predicate cannot use
-        // the probe (the runtime still demands the built structure).
-        let fallback = |lw: &mut Self| -> Result<PhysOp, PtError> {
-            let child = lw.lower(input)?;
+        let Some(probe) = select_probe(self.env.catalog, self.env.physical, idx, pred, input)
+        else {
+            // The probe cannot run: filter instead, still demanding the
+            // built index structure at runtime.
+            let child = self.lower(input)?;
             let cols = child.cols().to_vec();
-            let meta = lw.meta(pt, format!("Sel[{pred}]"));
-            Ok(PhysOp::Filter {
+            let meta = self.meta(pt, format!("Sel[{pred}]"));
+            return Ok(PhysOp::Filter {
                 meta,
                 pred: pred.clone(),
                 require_index: Some(idx),
                 input: Box::new(child),
                 cols,
-            })
+            });
         };
-        let Some(IndexKindDesc::Selection { class, attr }) = self
-            .env
-            .physical
-            .indexes()
-            .get(idx.0 as usize)
-            .map(|d| d.kind.clone())
-        else {
-            return fallback(self);
-        };
-        let Pt::Entity { id, var } = input else {
-            return fallback(self);
-        };
-        let desc = self.env.physical.entity(*id);
-        let EntitySource::Class(entity_class) = desc.source else {
-            return fallback(self);
-        };
-        let attr_name = &self.env.catalog.attribute(class, attr).name;
-        let Some(key) = eq_literal_conjunct(pred, var, attr_name) else {
-            return fallback(self);
-        };
-        let cols = vec![var.clone()];
         let meta = self.meta(pt, format!("Sel^idx[{pred}]"));
         Ok(PhysOp::IndexSelect {
             meta,
             index: idx,
-            class: entity_class,
-            var: var.clone(),
-            key,
+            class: probe.class,
+            var: probe.var.to_string(),
+            key: probe.key.clone(),
             pred: pred.clone(),
-            cols,
+            cols: vec![probe.var.to_string()],
         })
     }
 
@@ -743,59 +723,19 @@ impl Lowering<'_, '_> {
         left: &Pt,
         right: &Pt,
     ) -> Result<PhysOp, PtError> {
-        let Some(IndexKindDesc::Selection { class, attr }) = self
-            .env
-            .physical
-            .indexes()
-            .get(idx.0 as usize)
-            .map(|d| d.kind.clone())
-        else {
-            return self.lower_nested_loop(pt, pred, left, right, Some(idx));
-        };
-        let Pt::Entity { id, var } = right else {
-            return self.lower_nested_loop(pt, pred, left, right, Some(idx));
-        };
-        let desc = self.env.physical.entity(*id);
-        let EntitySource::Class(entity_class) = desc.source else {
-            return self.lower_nested_loop(pt, pred, left, right, Some(idx));
-        };
-        let attr_name = &self.env.catalog.attribute(class, attr).name;
-        // Find the equality conjunct `outer-expr = var.attr`.
-        let mut outer: Option<Expr> = None;
-        for c in pred.conjuncts() {
-            if let Expr::Cmp {
-                op: CmpOp::Eq,
-                lhs,
-                rhs,
-            } = c
-            {
-                let matches_inner = |e: &Expr| {
-                    matches!(e, Expr::Path { base, steps }
-                             if base == var && steps.len() == 1 && steps[0] == *attr_name)
-                };
-                if matches_inner(rhs) && !lhs.vars().contains(var) {
-                    outer = Some((**lhs).clone());
-                    break;
-                }
-                if matches_inner(lhs) && !rhs.vars().contains(var) {
-                    outer = Some((**rhs).clone());
-                    break;
-                }
-            }
-        }
-        let Some(outer) = outer else {
+        let Some(probe) = join_probe(self.env.catalog, self.env.physical, idx, pred, right) else {
             return self.lower_nested_loop(pt, pred, left, right, Some(idx));
         };
         let l = self.lower(left)?;
         let mut cols = l.cols().to_vec();
-        cols.push(var.clone());
+        cols.push(probe.var.to_string());
         let meta = self.meta(pt, format!("EJ^idx[{pred}]"));
         Ok(PhysOp::IndexJoin {
             meta,
             index: idx,
-            class: entity_class,
-            outer,
-            var: var.clone(),
+            class: probe.class,
+            outer: probe.outer.clone(),
+            var: probe.var.to_string(),
             pred: pred.clone(),
             left: Box::new(l),
             cols,
@@ -876,29 +816,6 @@ pub fn merge_leg_ok(op: &PhysOp) -> bool {
         }
     });
     ok
-}
-
-/// Find an `var.attr = literal` (or mirrored) conjunct of the predicate.
-/// Public so static analysis can mirror access-method resolution exactly.
-pub fn eq_literal_conjunct(pred: &Expr, var: &str, attr_name: &str) -> Option<Literal> {
-    for c in pred.conjuncts() {
-        if let Expr::Cmp {
-            op: CmpOp::Eq,
-            lhs,
-            rhs,
-        } = c
-        {
-            let (path, lit) = match (lhs.as_ref(), rhs.as_ref()) {
-                (Expr::Path { base, steps }, Expr::Lit(l)) => ((base, steps), l),
-                (Expr::Lit(l), Expr::Path { base, steps }) => ((base, steps), l),
-                _ => continue,
-            };
-            if path.0 == var && path.1.len() == 1 && path.1[0] == attr_name {
-                return Some(lit.clone());
-            }
-        }
-    }
-    None
 }
 
 /// Permutation aligning `from` columns onto the `to` order; `None` when

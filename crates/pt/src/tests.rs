@@ -281,6 +281,29 @@ fn lowering_resolves_index_selection_and_fallback() {
         other => panic!("expected IndexSelect, got {other:?}"),
     }
     assert!(plan.root.meta().label.starts_with("Sel^idx["));
+    // The resolver hands every layer the same probe; an index probe is
+    // no nested-loop inner to rescan.
+    let Pt::Sel { pred, input, .. } = &indexed else {
+        unreachable!()
+    };
+    let probe = select_probe(&cat, db.physical(), sid, pred, input).expect("probe resolves");
+    assert_eq!(
+        (
+            probe.index,
+            probe.entity,
+            probe.class,
+            probe.var,
+            probe.attr
+        ),
+        (sid, e, composer, "x", "name")
+    );
+    assert_eq!(*probe.key, oorq_query::Literal::Text("Bach".into()));
+    assert_eq!(probe.nblevels, 2);
+    assert_eq!(
+        find_select_probe(&cat, db.physical(), pred, input).map(|p| p.index),
+        Some(sid)
+    );
+    assert!(!rescannable(&cat, db.physical(), &indexed));
 
     // No usable conjunct: degrade to a filter that still demands the
     // index structure (the interpreter's resolution order).
@@ -294,6 +317,27 @@ fn lowering_resolves_index_selection_and_fallback() {
         PhysOp::Filter { require_index, .. } => assert_eq!(*require_index, Some(sid)),
         other => panic!("expected Filter fallback, got {other:?}"),
     }
+    // The fallback filter over an entity scan is rescannable, and no
+    // index applies to the predicate.
+    let Pt::Sel { pred, input, .. } = &unusable else {
+        unreachable!()
+    };
+    assert_eq!(select_probe(&cat, db.physical(), sid, pred, input), None);
+    assert_eq!(find_select_probe(&cat, db.physical(), pred, input), None);
+    assert!(rescannable(&cat, db.physical(), &unusable));
+
+    // A usable conjunct over a non-entity input falls back the same way.
+    let over_proj = Pt::Sel {
+        pred: Expr::path("x", &["name"]).eq(Expr::text("Bach")),
+        method: AccessMethod::Index(sid),
+        input: Box::new(Pt::proj(
+            vec![("x".into(), Expr::var("x"))],
+            Pt::entity(e, "x"),
+        )),
+    };
+    let plan = lower(&env, &over_proj).unwrap();
+    assert!(matches!(plan.root, PhysOp::Filter { .. }), "{plan:?}");
+    assert!(rescannable(&cat, db.physical(), &over_proj));
 }
 
 #[test]
@@ -320,6 +364,35 @@ fn lowering_resolves_index_join_outer_expression() {
         }
         other => panic!("expected IndexJoin, got {other:?}"),
     }
+    let Pt::EJ { pred, right, .. } = &ej else {
+        unreachable!()
+    };
+    let probe = join_probe(&cat, db.physical(), sid, pred, right).expect("probe resolves");
+    assert_eq!(
+        (probe.index, probe.class, probe.var, probe.attr, probe.outer),
+        (sid, composer, "r", "name", &Expr::path("l", &["name"]))
+    );
+    assert_eq!(join_probes(&cat, db.physical(), pred, right), vec![probe]);
+
+    // An indexed equality whose other side mentions the inner variable
+    // cannot key a probe: no index join is offered, and lowering runs
+    // the nested loop.
+    let self_ref = Pt::EJ {
+        pred: Expr::path("r", &["name"]).eq(Expr::path("r", &["master", "name"])),
+        algo: JoinAlgo::IndexJoin(sid),
+        left: Box::new(Pt::entity(e, "l")),
+        right: Box::new(Pt::entity(e, "r")),
+    };
+    let Pt::EJ { pred, right, .. } = &self_ref else {
+        unreachable!()
+    };
+    assert_eq!(join_probe(&cat, db.physical(), sid, pred, right), None);
+    assert!(join_probes(&cat, db.physical(), pred, right).is_empty());
+    let plan = lower(&env, &self_ref).unwrap();
+    assert!(
+        matches!(plan.root, PhysOp::NlJoin { require_index: Some(i), .. } if i == sid),
+        "{plan:?}"
+    );
 
     // No equality on the indexed attribute: degrade to a nested loop
     // that still demands the structure.
